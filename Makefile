@@ -17,12 +17,13 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector over the concurrent pieces: the work-stealing search,
-# the batch scheduler, the synthesis cache, the serving runtime
-# (concurrent sessions over one context), the batched request
-# scheduler, and wire decode/load. Mirrors the CI job; drop -short for
-# the full sweep when touching the search.
+# the batch scheduler, the synthesis cache, the levelized plan
+# schedule, the shared sampler and decryptor, the serving runtime
+# (concurrent sessions over one context, parallel mux proofs), the
+# batched request scheduler, and wire decode/load. Mirrors the CI job;
+# drop -short for the full sweep when touching the search.
 test-race:
-	$(GO) test -race -short -timeout 10m ./internal/ring/... ./internal/synth/... ./internal/quill/... ./internal/backend/... ./internal/serve/... ./internal/wire/...
+	$(GO) test -race -short -timeout 10m ./internal/ring/... ./internal/synth/... ./internal/quill/... ./internal/plan/... ./internal/bfv/... ./internal/backend/... ./internal/serve/... ./internal/wire/...
 
 # benchstat-friendly: 5 repetitions of every paper benchmark. Pipe two
 # runs through benchstat to compare changes:

@@ -3,6 +3,8 @@ package backend
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"porcupine/internal/bfv"
 	"porcupine/internal/plan"
@@ -169,12 +171,21 @@ func (r *MuxRunner) Run(ctIns [][]*bfv.Ciphertext, ptIns [][]quill.Vec) ([]*bfv.
 // for plaintext-multiplication noise growth, and runs trials with
 // independent encryption randomness so a marginal budget has more than
 // one chance to trip.
+//
+// The independent work of a trial — one interpreter reference run and
+// decryption per lane, the muxed run and the decryption of its lanes —
+// spreads over runtime.GOMAXPROCS(0) worker goroutines. Plaintexts are
+// drawn from the seed and encrypted on the calling goroutine in a
+// fixed order (trial by trial, lane by lane, input by input), and a
+// trial's encryptions start only after the previous trial passed, so
+// a deterministic encryptor consumes the same randomness whatever the
+// core count. The first failure in (trial, lane, slot) order is
+// reported, so verdicts and error text do not depend on scheduling.
 func (c *Context) ProveMux(m *plan.Mux, seed int64, trials int) error {
 	if !c.CanDecrypt() {
 		return fmt.Errorf("backend: mux proof needs a decrypting context")
 	}
-	p := m.Plan
-	if p.Source == nil {
+	if m.Plan.Source == nil {
 		return fmt.Errorf("backend: mux proof needs the plan's source program")
 	}
 	if trials < 1 {
@@ -184,43 +195,96 @@ func (c *Context) ProveMux(m *plan.Mux, seed int64, trials int) error {
 	r := c.NewMuxRunner(m)
 	rt := RuntimeOver(c)
 	for trial := 0; trial < trials; trial++ {
-		ctIns := make([][]*bfv.Ciphertext, m.Lanes)
-		ptIns := make([][]quill.Vec, m.Lanes)
-		wants := make([]quill.Vec, m.Lanes)
-		for j := 0; j < m.Lanes; j++ {
-			vec := func() quill.Vec {
-				v := make(quill.Vec, p.VecLen)
-				for s := range v {
-					v[s] = rng.Uint64() % c.Params.T
-				}
-				return v
-			}
-			for i := 0; i < p.NumCtInputs; i++ {
-				ct, err := c.EncryptVec(vec())
-				if err != nil {
-					return err
-				}
-				ctIns[j] = append(ctIns[j], ct)
-			}
-			for i := 0; i < p.NumPtInputs; i++ {
-				ptIns[j] = append(ptIns[j], vec())
-			}
-			ref, err := rt.RunInterpreter(p.Source, ctIns[j], ptIns[j])
-			if err != nil {
-				return err
-			}
-			wants[j] = c.DecryptVec(ref, p.VecLen)
-		}
-		outs, err := r.Run(ctIns, ptIns)
-		if err != nil {
+		if err := c.proveTrial(m, r, rt, rng, trial); err != nil {
 			return err
 		}
-		for j, out := range outs {
-			got := c.DecryptVec(out, p.VecLen)
-			for s := range wants[j] {
-				if got[s] != wants[j][s] {
-					return fmt.Errorf("backend: muxed lane %d decrypts wrong at slot %d (trial %d): noise budget exceeded under %d-lane packing", j, s, trial, m.Lanes)
+	}
+	return nil
+}
+
+// proveTrial runs one lane-packed differential of ProveMux. Lanes are
+// handed to the reference workers as soon as their inputs are
+// encrypted; once every lane is encrypted the calling goroutine runs
+// the muxed evaluation and decrypts its lanes while the workers finish
+// the references.
+func (c *Context) proveTrial(m *plan.Mux, r *MuxRunner, rt *Runtime, rng *rand.Rand, trial int) error {
+	p := m.Plan
+	ctIns := make([][]*bfv.Ciphertext, m.Lanes)
+	ptIns := make([][]quill.Vec, m.Lanes)
+	wants := make([]quill.Vec, m.Lanes)
+	refErrs := make([]error, m.Lanes)
+
+	lanes := make(chan int, m.Lanes)
+	var wg sync.WaitGroup
+	for w := 0; w < min(runtime.GOMAXPROCS(0), m.Lanes); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range lanes {
+				ref, err := rt.RunInterpreter(p.Source, ctIns[j], ptIns[j])
+				if err != nil {
+					refErrs[j] = err
+					continue
 				}
+				wants[j] = c.DecryptVec(ref, p.VecLen)
+			}
+		}()
+	}
+
+	vec := func() quill.Vec {
+		v := make(quill.Vec, p.VecLen)
+		for s := range v {
+			v[s] = rng.Uint64() % c.Params.T
+		}
+		return v
+	}
+	encLane, encErr := m.Lanes, error(nil)
+encrypt:
+	for j := 0; j < m.Lanes; j++ {
+		for i := 0; i < p.NumCtInputs; i++ {
+			ct, err := c.EncryptVec(vec())
+			if err != nil {
+				encLane, encErr = j, err
+				break encrypt
+			}
+			ctIns[j] = append(ctIns[j], ct)
+		}
+		for i := 0; i < p.NumPtInputs; i++ {
+			ptIns[j] = append(ptIns[j], vec())
+		}
+		lanes <- j
+	}
+	close(lanes)
+
+	var gots []quill.Vec
+	var runErr error
+	if encErr == nil {
+		var outs []*bfv.Ciphertext
+		if outs, runErr = r.Run(ctIns, ptIns); runErr == nil {
+			for _, out := range outs {
+				gots = append(gots, c.DecryptVec(out, p.VecLen))
+			}
+		}
+	}
+	wg.Wait()
+
+	// A lane's reference failure precedes any later lane's encryption,
+	// and all of them precede the muxed run.
+	for j := 0; j < encLane; j++ {
+		if refErrs[j] != nil {
+			return refErrs[j]
+		}
+	}
+	if encErr != nil {
+		return encErr
+	}
+	if runErr != nil {
+		return runErr
+	}
+	for j, got := range gots {
+		for s := range wants[j] {
+			if got[s] != wants[j][s] {
+				return fmt.Errorf("backend: muxed lane %d decrypts wrong at slot %d (trial %d): noise budget exceeded under %d-lane packing", j, s, trial, m.Lanes)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 
@@ -89,14 +90,20 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 }
 
 // phase computes c0 + c1·s + c2·s² + ... in the coefficient domain.
+// The result comes from the ring's buffer pool; callers done with it
+// return it with PutPoly.
 func (dec *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 	r := dec.params.ringQ
-	acc := r.Copy(ct.Value[0])
+	acc := r.GetPolyNoZero()
+	r.CopyInto(acc, ct.Value[0])
 	if len(ct.Value) == 1 {
 		return acc
 	}
-	sPow := r.Copy(dec.sk.SNtt)
-	tmp := r.NewPoly()
+	sPow := r.GetPolyNoZero()
+	defer r.PutPoly(sPow)
+	r.CopyInto(sPow, dec.sk.SNtt)
+	tmp := r.GetPolyNoZero()
+	defer r.PutPoly(tmp)
 	for d := 1; d < len(ct.Value); d++ {
 		r.CopyInto(tmp, ct.Value[d])
 		r.NTT(tmp)
@@ -111,30 +118,14 @@ func (dec *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 }
 
 // Decrypt recovers the plaintext: m_j = round(t·v_j / Q) mod t where
-// v = c0 + c1·s (+ higher powers for unrelinearized ciphertexts).
+// v = c0 + c1·s (+ higher powers for unrelinearized ciphertexts). The
+// rounding runs in RNS (see tScaler) and equals the exact big-integer
+// computation for every ciphertext, including noise-exhausted ones.
 func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
-	r := dec.params.ringQ
 	v := dec.phase(ct)
 	pt := dec.params.NewPlaintext()
-	t := new(big.Int).SetUint64(dec.params.T)
-	q := dec.params.q
-	halfQ := new(big.Int).Rsh(q, 1)
-	var x, num big.Int
-	for j := 0; j < dec.params.N; j++ {
-		r.CoeffBigCentered(&x, v, j)
-		// round(t·x/Q) with round-half-up for positive, symmetric for
-		// negative (rounding direction at exact .5 is irrelevant since
-		// noise < Δ/2 guarantees a unique nearest integer).
-		num.Mul(t, &x)
-		if num.Sign() >= 0 {
-			num.Add(&num, halfQ)
-		} else {
-			num.Sub(&num, halfQ)
-		}
-		num.Quo(&num, q)
-		num.Mod(&num, t)
-		pt.Coeffs[j] = num.Uint64()
-	}
+	dec.params.tScale.scale(pt.Coeffs, v)
+	dec.params.ringQ.PutPoly(v)
 	return pt
 }
 
@@ -145,6 +136,7 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 func (dec *Decryptor) NoiseBudget(ct *Ciphertext) float64 {
 	r := dec.params.ringQ
 	v := dec.phase(ct)
+	defer r.PutPoly(v)
 	t := new(big.Int).SetUint64(dec.params.T)
 	q := dec.params.q
 	halfQ := new(big.Int).Rsh(q, 1)
@@ -180,4 +172,79 @@ func bigLog2(x *big.Int) float64 {
 	exp := f.MantExp(mant)
 	m, _ := mant.Float64()
 	return float64(exp) + math.Log2(m)
+}
+
+// tScaler computes round(t·x/Q) mod t for every coefficient x ∈ [0, Q)
+// of a polynomial in RNS form, with word-sized arithmetic only:
+//
+//	y = t·x + ⌊Q/2⌋,  r = y mod Q,  round(t·x/Q) = (y − r)/Q,
+//
+// so the result is (y − r)·Q⁻¹ mod t = (⌊Q/2⌋ − r)·Q⁻¹ mod t. The
+// residues of r are those of y; Garner's mixed-radix digits of r give
+// r mod t exactly. Ties never occur: t·x/Q = n + ½ would need
+// Q | 2t·x, impossible for 0 < x < Q since Q, a product of odd NTT
+// primes, is coprime to 2t. So adding ⌊Q/2⌋ rounds exactly like the
+// centered big-integer reference, and reducing mod t removes the
+// choice of representative.
+type tScaler struct {
+	t      uint64
+	dec    *mathutil.MRDecomposer // Garner tables over the Q basis
+	tq     []uint64               // t mod q_i
+	tqS    []uint64               // Shoup companions of tq
+	halfQ  []uint64               // ⌊Q/2⌋ mod q_i
+	wt     []uint64               // W_i mod t (W_i = q_0···q_{i-1})
+	wtS    []uint64               // Shoup companions of wt
+	halfQt uint64                 // ⌊Q/2⌋ mod t
+	qInv   uint64                 // Q⁻¹ mod t
+	qInvS  uint64
+}
+
+func newTScaler(primes []uint64, q *big.Int, t uint64) (*tScaler, error) {
+	dec, err := mathutil.NewMRDecomposer(primes)
+	if err != nil {
+		return nil, err
+	}
+	k := len(primes)
+	sc := &tScaler{
+		t: t, dec: dec,
+		tq: make([]uint64, k), tqS: make([]uint64, k), halfQ: make([]uint64, k),
+		wt: make([]uint64, k), wtS: make([]uint64, k),
+	}
+	halfQ := new(big.Int).Rsh(q, 1)
+	var tmp, pb big.Int
+	w := uint64(1) % t
+	for i, p := range primes {
+		sc.tq[i] = t % p
+		sc.tqS[i] = mathutil.ShoupPrecomp(sc.tq[i], p)
+		pb.SetUint64(p)
+		sc.halfQ[i] = tmp.Mod(halfQ, &pb).Uint64()
+		sc.wt[i] = w
+		sc.wtS[i] = mathutil.ShoupPrecomp(w, t)
+		w = mathutil.MulMod(w, p%t, t)
+	}
+	pb.SetUint64(t)
+	sc.halfQt = tmp.Mod(halfQ, &pb).Uint64()
+	if sc.qInv, err = mathutil.InvMod(w, t); err != nil {
+		return nil, fmt.Errorf("bfv: ciphertext modulus not coprime to t: %w", err)
+	}
+	sc.qInvS = mathutil.ShoupPrecomp(sc.qInv, t)
+	return sc, nil
+}
+
+// scale writes round(t·x_j/Q) mod t into dst[j] for each coefficient
+// x_j of v.
+func (sc *tScaler) scale(dst []uint64, v *ring.Poly) {
+	k, t := len(sc.tq), sc.t
+	digits := make([]uint64, k)
+	for j := range dst {
+		for i, p := range sc.dec.Primes {
+			digits[i] = mathutil.AddMod(mathutil.ShoupMul(v.Coeffs[i][j], sc.tq[i], sc.tqS[i], p), sc.halfQ[i], p)
+		}
+		sc.dec.Decompose(digits, digits)
+		var rt uint64
+		for i, d := range digits {
+			rt = mathutil.AddMod(rt, mathutil.ShoupMul(d, sc.wt[i], sc.wtS[i], t), t)
+		}
+		dst[j] = mathutil.ShoupMul(mathutil.SubMod(sc.halfQt, rt, t), sc.qInv, sc.qInvS, t)
+	}
 }

@@ -38,6 +38,7 @@ type Parameters struct {
 	ringExt  *ring.Ring          // extended basis for exact tensor products
 	extLen   int                 // number of primes in the extended basis
 	extender *ring.BasisExtender // pure-RNS Q↔ext conversions for Mul
+	tScale   *tScaler            // pure-RNS round(t·x/Q) for Decrypt
 
 	q       *big.Int // Q = ∏ QPrimes
 	delta   *big.Int // Δ = floor(Q/t)
@@ -114,6 +115,9 @@ func newParameters(n int, qPrimes []uint64) (*Parameters, error) {
 		pb.SetUint64(pr)
 		tmp.Mod(p.delta, &pb)
 		p.deltaQi[i] = tmp.Uint64()
+	}
+	if p.tScale, err = newTScaler(qPrimes, p.q, p.T); err != nil {
+		return nil, err
 	}
 
 	// Extended basis for exact tensor products: Q primes plus auxiliary

@@ -54,6 +54,11 @@ type Catalog struct {
 // per-request serving rather than shipped as a wrong-answer machine.
 // Only public material crosses: evaluation keys, pre-encoded
 // constants, and (in samples) ciphertexts.
+//
+// Kernels are exported one after another; each proof spreads its work
+// over runtime.GOMAXPROCS(0) goroutines with a deterministic
+// encryption order, so the registry — every stamped or demoted
+// geometry — does not depend on the core count or on scheduling.
 func ExportRegistry(ctx *backend.Context, names []string, plans []*plan.ExecutionPlan, samples []*wire.Request) (*wire.Registry, error) {
 	if len(names) != len(plans) {
 		return nil, fmt.Errorf("serve: %d names for %d plans", len(names), len(plans))

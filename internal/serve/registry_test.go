@@ -331,12 +331,9 @@ func TestRegistryConcurrentKernels(t *testing.T) {
 	}
 }
 
-// TestRegistryExportDemotesNoisyMux: a depth-3 repeated-squaring
-// kernel is statically lane-packable, but its muxed evaluation blows
-// the toy preset's noise budget — ExportRegistry must run the
-// decrypted proof and demote it to per-request instead of stamping a
-// wrong-answer geometry into the manifest.
-func TestRegistryExportDemotesNoisyMux(t *testing.T) {
+// deepSquaringKernel is a depth-3 repeated-squaring chain: statically
+// lane-packable, but its muxed evaluation blows PN2048's noise budget.
+func deepSquaringKernel() *quill.Lowered {
 	deep := &quill.Lowered{VecLen: 32, NumCtInputs: 1}
 	acc, next := 0, 1
 	for d := 0; d < 3; d++ {
@@ -350,10 +347,18 @@ func TestRegistryExportDemotesNoisyMux(t *testing.T) {
 		quill.LInstr{Op: quill.OpRotCt, Dst: next, A: acc, Rot: 1},
 		quill.LInstr{Op: quill.OpAddCtCt, Dst: next + 1, A: next, B: acc})
 	deep.Output = next + 1
+	return deep
+}
 
+// TestRegistryExportDemotesNoisyMux: a depth-3 repeated-squaring
+// kernel is statically lane-packable, but its muxed evaluation blows
+// the toy preset's noise budget — ExportRegistry must run the
+// decrypted proof and demote it to per-request instead of stamping a
+// wrong-answer geometry into the manifest.
+func TestRegistryExportDemotesNoisyMux(t *testing.T) {
 	names, programs := registryPrograms()
 	names = append(names, "deep")
-	programs = append(programs, deep)
+	programs = append(programs, deepSquaringKernel())
 	ctx, plans, err := backend.NewTestMuxServingContext("PN2048", 17, 0, programs...)
 	if err != nil {
 		t.Fatal(err)
